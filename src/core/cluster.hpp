@@ -30,7 +30,7 @@
 #include "net/cost_model.hpp"
 #include "net/fabric.hpp"
 #include "net/fabric_options.hpp"
-#include "net/tcp_mesh_fabric.hpp"
+#include "net/tcp_fabric.hpp"
 #include "rpc/node.hpp"
 #include "storage/replica_options.hpp"
 #include "util/checked_mutex.hpp"

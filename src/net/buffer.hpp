@@ -7,9 +7,9 @@
 //     implicit Buffer constructor *adopts* (one move, zero copies) — the
 //     serialized argument pack travels from the archive through Message
 //     to the socket untouched;
-//   * a batched receive (wire::FrameReader) reads a whole batch payload
-//     into one shared allocation and hands each sub-frame a Buffer::view
-//     of its range.
+//   * a batched receive (wire::StreamFrameDecoder) pulls a whole batch
+//     payload into one shared allocation and hands each sub-frame a
+//     Buffer::view of its range.
 //
 // Copying a Buffer copies slice descriptors (refcount bumps), never the
 // bytes — which is what makes the retry driver's resend copy, the dedup

@@ -5,8 +5,10 @@
 //  * InProcFabric — machines live in one address space; the fabric applies
 //    an alpha-beta CostModel so communication costs are visible (this is
 //    the default substrate standing in for the paper's physical cluster).
-//  * TcpFabric    — machines exchange frames over real loopback sockets;
-//    every byte genuinely crosses the kernel socket layer.
+//  * TcpFabric    — machines exchange frames over real sockets; every
+//    byte between two machines crosses the kernel socket layer.  One
+//    class serves both the in-process cluster (ephemeral loopback ports)
+//    and the multi-process mesh (a fixed endpoint table, oopp_noded).
 //
 // Node code is fabric-agnostic: it only ever consumes its Inbox and calls
 // send().

@@ -1,8 +1,6 @@
 // FabricOptions: the one transport configuration surface.
 //
-// Every fabric knob that used to live in a per-fabric Options struct or a
-// scattered setter (TcpFabric::Options, TcpMeshFabric::Options,
-// Fabric::set_batching) is collected here, so Cluster::Options carries a
+// Every fabric knob is collected here, so Cluster::Options carries a
 // single `transport` value and code configuring a fabric does not need to
 // know which concrete fabric it is talking to.  See the migration table
 // in README.md.
@@ -27,8 +25,8 @@ struct FabricOptions {
   /// Runtime-reconfigurable via Fabric::reconfigure().
   BatchOptions batch{};
 
-  /// Reactor read granularity: bytes pulled per read() syscall while a
-  /// connection is readable.
+  /// Read granularity of both inbound paths: bytes pulled per read()
+  /// syscall while a connection is readable.
   std::size_t read_chunk = 64 * 1024;
 
   /// SO_RCVBUF/SO_SNDBUF for accepted sockets; 0 keeps the kernel

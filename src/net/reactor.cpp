@@ -156,11 +156,9 @@ bool Reactor::do_read(Conn& conn) {
     if (ms.empty()) continue;
     rm.frames.add(ms.size());
     legacy_frames.add(ms.size());
-    // Deliver under the slot lock: detach() nulls the inbox under the
-    // same lock, so no frame can land in a destroyed Inbox.
-    std::lock_guard lock(conn.slot->mu);
-    if (conn.slot->inbox != nullptr)
-      conn.slot->inbox->push_all(std::move(ms));
+    // detach() nulls the inbox under the slot lock deliver() takes, so no
+    // frame can land in a destroyed Inbox.
+    conn.slot->deliver(std::move(ms));
   }
   return true;
 }

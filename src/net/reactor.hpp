@@ -1,10 +1,10 @@
 // Reactor: one epoll thread serving every inbound connection of a fabric.
 //
-// Replaces the thread-per-peer blocking readers of TcpFabric and
-// TcpMeshFabric: listening sockets and accepted connections are
+// TcpFabric's default inbound path, in place of one blocking reader
+// thread per peer: listening sockets and accepted connections are
 // nonblocking and edge-triggered; a single thread accepts, reads, and
-// decodes frames (via wire::StreamFrameDecoder, which parses exactly what
-// the blocking FrameReader does — the reactor changes no wire bytes).
+// decodes frames through wire::StreamFrameDecoder — the same decoder the
+// thread-per-peer readers use, so the reactor changes no wire bytes.
 //
 // Inbound sockets are simplex here: a fabric link is one direction of one
 // (src, dst) pair, written by the sender's own threads under the link
@@ -31,10 +31,16 @@
 namespace oopp::net {
 
 /// The destination inbox of one attached machine, shared between the
-/// reader path (reactor or legacy per-peer threads) and Fabric::detach.
+/// reader path (reactor or per-peer threads) and Fabric::detach.
 struct InboxSlot {
   util::CheckedMutex mu{"net.InboxSlot"};
   Inbox* inbox = nullptr;
+
+  /// Push decoded frames, or drop them once the machine has detached.
+  void deliver(std::vector<Message> ms) {
+    std::lock_guard lock(mu);
+    if (inbox != nullptr) inbox->push_all(std::move(ms));
+  }
 };
 
 class Reactor {

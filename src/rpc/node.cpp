@@ -43,6 +43,23 @@ telemetry::Histogram& verb_histogram(telemetry::Verb v) {
   return *hists[static_cast<std::size_t>(v)];
 }
 
+/// The object whose dispatch shard carries `req`. Destroy and passivate
+/// are control requests, but they act on one object through its command
+/// queue, and their payload opens with that object's id. Routing them on
+/// the object's own shard keeps them behind every request the sender
+/// issued to the object earlier; on the control shard they could overtake
+/// requests still waiting in the object's shard and retire it under them.
+net::ObjectId dispatch_key(const net::Message& req) {
+  static const net::MethodId kDestroy = net::method_id(kDestroyMethod);
+  static const net::MethodId kPassivate = net::method_id(kPassivateMethod);
+  if (req.header.object != net::kNodeObject) return req.header.object;
+  if (req.header.method != kDestroy && req.header.method != kPassivate)
+    return net::kNodeObject;
+  if (req.payload.size() < sizeof(std::uint64_t)) return net::kNodeObject;
+  serial::IArchive ia(req.payload);
+  return static_cast<net::ObjectId>(ia.read<std::uint64_t>());
+}
+
 /// rpc.retry scope: client-side retry driver + server-side dedup cache.
 struct RetryMetrics {
   telemetry::Counter& resends;            // retry attempts put on the wire
@@ -237,8 +254,9 @@ void Node::route_request(net::Message req) {
   // appends to the target shard's FIFO — the ordering chain is inbox FIFO
   // -> shard FIFO -> object command queue FIFO, so two requests for one
   // object can never reorder, while requests for objects in different
-  // shards are dispatched concurrently.
-  const std::size_t shard = objects_.shard_of(req.header.object);
+  // shards are dispatched concurrently. Destroy and passivate ride their
+  // target object's shard (see dispatch_key).
+  const std::size_t shard = objects_.shard_of(dispatch_key(req));
   DispatchShard& ds = *dispatch_shards_[shard];
   bool kick = false;
   std::size_t depth = 0;

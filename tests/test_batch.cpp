@@ -18,6 +18,7 @@
 #include "net/tcp_fabric.hpp"
 #include "net/tcp_wire.hpp"
 #include "rpc/call_policy.hpp"
+#include "wire_test_util.hpp"
 
 namespace net = oopp::net;
 namespace wire = oopp::net::wire;
@@ -85,23 +86,12 @@ TEST(Buffer, MutateByteIsCopyOnWrite) {
 
 // -- wire codec -------------------------------------------------------------
 
-struct SocketPair {
-  int a = -1, b = -1;
-  SocketPair() {
-    int fds[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    a = fds[0];
-    b = fds[1];
-  }
-  ~SocketPair() {
-    if (a >= 0) ::close(a);
-    if (b >= 0) ::close(b);
-  }
-};
+using net::test::decode_to_eof;
+using net::test::SocketPair;
 
 std::vector<std::byte> read_n(int fd, std::size_t n) {
   std::vector<std::byte> v(n);
-  EXPECT_TRUE(wire::read_all(fd, v.data(), n));
+  EXPECT_EQ(::recv(fd, v.data(), n, MSG_WAITALL), static_cast<ssize_t>(n));
   return v;
 }
 
@@ -124,12 +114,13 @@ TEST(WireCodec, SendFramevHandlesMultiSlicePayloads) {
 
   SocketPair sp;
   ASSERT_TRUE(wire::send_framev(sp.a, m));
-  net::Message got;
-  ASSERT_TRUE(wire::recv_frame(sp.b, got));
-  EXPECT_EQ(got.payload.to_vector(), p.to_vector());
+  std::vector<net::Message> got;
+  ASSERT_TRUE(decode_to_eof(sp, got));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].payload.to_vector(), p.to_vector());
 }
 
-TEST(WireCodec, BatchRoundTripsThroughFrameReader) {
+TEST(WireCodec, BatchRoundTripsThroughStreamDecoder) {
   std::vector<net::Message> frames;
   for (int i = 0; i < 5; ++i)
     frames.push_back(req(static_cast<net::SeqNum>(i), 40 + 10 * i,
@@ -137,9 +128,8 @@ TEST(WireCodec, BatchRoundTripsThroughFrameReader) {
 
   SocketPair sp;
   ASSERT_TRUE(wire::send_batch(sp.a, frames.data(), frames.size()));
-  wire::FrameReader reader(sp.b);
   std::vector<net::Message> got;
-  ASSERT_TRUE(reader.next_batch(got));
+  ASSERT_TRUE(decode_to_eof(sp, got));
   ASSERT_EQ(got.size(), frames.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].header.seq, frames[i].header.seq);
@@ -148,7 +138,7 @@ TEST(WireCodec, BatchRoundTripsThroughFrameReader) {
   }
 }
 
-TEST(WireCodec, FrameReaderAcceptsMixedPlainAndBatchUnits) {
+TEST(WireCodec, StreamDecoderAcceptsMixedPlainAndBatchUnits) {
   SocketPair sp;
   auto lone = req(100, 64);
   ASSERT_TRUE(wire::send_framev(sp.a, lone));
@@ -156,12 +146,11 @@ TEST(WireCodec, FrameReaderAcceptsMixedPlainAndBatchUnits) {
   ASSERT_TRUE(wire::send_batch(sp.a, batch.data(), batch.size()));
   ASSERT_TRUE(wire::send_framev(sp.a, req(103, 8)));
 
-  wire::FrameReader reader(sp.b);
-  net::Message m;
-  for (net::SeqNum want = 100; want <= 103; ++want) {
-    ASSERT_TRUE(reader.next(m));
-    EXPECT_EQ(m.header.seq, want);
-  }
+  std::vector<net::Message> got;
+  ASSERT_TRUE(decode_to_eof(sp, got));
+  ASSERT_EQ(got.size(), 4u);
+  for (net::SeqNum want = 100; want <= 103; ++want)
+    EXPECT_EQ(got[want - 100].header.seq, want);
 }
 
 TEST(WireCodec, MalformedBatchHeaderIsRejected) {

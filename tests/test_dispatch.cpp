@@ -3,8 +3,8 @@
 // redesign's contract — per-object FIFO order survives N concurrent
 // clients, M distinct objects demonstrably execute in parallel, a racing
 // shutdown cannot deliver into a destroyed Inbox, a bounded object queue
-// refuses overflow with PeerUnavailable, and the reactor's incremental
-// frame decoder parses exactly the bytes the blocking FrameReader does.
+// refuses overflow with PeerUnavailable, and the incremental frame
+// decoder both inbound paths share parses exactly the bytes sent.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -386,9 +386,9 @@ void expect_same_message(const net::Message& got, const net::Message& want) {
 
 // Feed the exact bytes send_frame/send_batch put on the wire into the
 // reactor's incremental decoder one byte at a time — the worst possible
-// read() fragmentation — and require the same message sequence the
-// blocking FrameReader would produce: plain frames, an empty payload, a
-// held-locks header extension, and a 0xB5 batch.
+// read() fragmentation — and require exactly the message sequence that
+// was sent: plain frames, an empty payload, a held-locks header
+// extension, and a 0xB5 batch.
 TEST(Dispatch, StreamFrameDecoderByteAtATimeMatchesWire) {
   int sv[2];
   ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));

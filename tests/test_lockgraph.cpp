@@ -21,6 +21,7 @@
 #include "net/message.hpp"
 #include "net/tcp_wire.hpp"
 #include "util/checked_mutex.hpp"
+#include "wire_test_util.hpp"
 
 using oopp::Cluster;
 using oopp::util::CheckedMutex;
@@ -184,42 +185,25 @@ TEST(HeldLocksWire, MalformedExtensionIsRejected) {
   EXPECT_EQ(wire::decode_header(buf, sizeof(buf), h, payload_len), 0u);
 }
 
-struct SocketPair {
-  int a = -1, b = -1;
-  SocketPair() {
-    int fds[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    a = fds[0];
-    b = fds[1];
-  }
-  ~SocketPair() {
-    if (a >= 0) ::close(a);
-    if (b >= 0) ::close(b);
-  }
-};
-
-TEST(HeldLocksWire, RoundTripsThroughSocketAndFrameReader) {
-  SocketPair sp;
+TEST(HeldLocksWire, RoundTripsThroughSocketAndStreamDecoder) {
+  net::test::SocketPair sp;
   ASSERT_TRUE(wire::send_framev(sp.a, req_with_held({5, 6})));
-  net::Message got;
-  ASSERT_TRUE(wire::recv_frame(sp.b, got));
-  ASSERT_EQ(got.header.held.count, 2);
-  EXPECT_EQ(got.header.held.ids[0], 5u);
-  EXPECT_EQ(got.header.held.ids[1], 6u);
-
   // A batch mixing flagged and plain frames slices back correctly.
   std::vector<net::Message> frames{req_with_held({0xabcdu}),
                                    req_with_held({}),
                                    req_with_held({1, 2, 3, 4})};
   ASSERT_TRUE(wire::send_batch(sp.a, frames.data(), frames.size()));
-  wire::FrameReader reader(sp.b);
+
   std::vector<net::Message> out;
-  ASSERT_TRUE(reader.next_batch(out));
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].header.held.count, 1);
-  EXPECT_EQ(out[0].header.held.ids[0], 0xabcdu);
-  EXPECT_TRUE(out[1].header.held.empty());
-  EXPECT_EQ(out[2].header.held.count, 4);
+  ASSERT_TRUE(net::test::decode_to_eof(sp, out));
+  ASSERT_EQ(out.size(), 4u);
+  ASSERT_EQ(out[0].header.held.count, 2);
+  EXPECT_EQ(out[0].header.held.ids[0], 5u);
+  EXPECT_EQ(out[0].header.held.ids[1], 6u);
+  EXPECT_EQ(out[1].header.held.count, 1);
+  EXPECT_EQ(out[1].header.held.ids[0], 0xabcdu);
+  EXPECT_TRUE(out[2].header.held.empty());
+  EXPECT_EQ(out[3].header.held.count, 4);
 }
 
 // -- cross-edge store -------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the network substrate: inbox delivery and ordering, the cost
 // model, and both fabrics moving frames faithfully.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <chrono>
 #include <thread>
@@ -9,6 +10,8 @@
 #include "net/inbox.hpp"
 #include "net/inproc_fabric.hpp"
 #include "net/tcp_fabric.hpp"
+#include "net/tcp_wire.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/clock.hpp"
 
 namespace net = oopp::net;
@@ -251,5 +254,70 @@ TEST(TcpFabric, EmptyPayload) {
   EXPECT_EQ(b.pop()->payload.size(), 0u);
   fabric.shutdown();
 }
+
+TEST(TcpFabric, SelfSendIsDeliveredWithoutTheKernel) {
+  net::TcpFabric fabric(2);
+  net::Inbox a, b;
+  fabric.attach(0, &a);
+  fabric.attach(1, &b);
+  auto& received = oopp::telemetry::Metrics::scope_for("net").counter(
+      "tcp_frames_received");
+  const auto before = received.value();
+
+  fabric.send(make_msg(1, 1, 11, 32));
+  auto got = b.pop();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->header.seq, 11u);
+  EXPECT_EQ(got->payload.size(), 32u);
+  EXPECT_EQ(fabric.messages_sent(), 1u);
+  // No socket read delivered it.
+  EXPECT_EQ(received.value(), before);
+  fabric.shutdown();
+}
+
+// Both inbound read paths: the epoll reactor and thread-per-peer readers.
+class TcpFabricReadPath : public ::testing::TestWithParam<bool> {};
+
+// A peer announcing a plain frame of 2^62 payload bytes must lose its
+// connection — not take the process down by asking for that allocation —
+// and the fabric keeps delivering for every other peer.
+TEST_P(TcpFabricReadPath, HostilePayloadLengthDropsOnlyThatConnection) {
+  net::TcpFabric fabric(2, net::FabricOptions{.reactor = GetParam()});
+  net::Inbox a, b;
+  fabric.attach(0, &a);
+  fabric.attach(1, &b);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(fabric.port(1));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::uint8_t hdr[net::wire::kMaxFrameHeaderSize];
+  const std::size_t n = net::wire::encode_header(make_msg(0, 1, 1).header,
+                                                 std::uint64_t{1} << 62, hdr);
+  ASSERT_EQ(::write(fd, hdr, n), static_cast<ssize_t>(n));
+
+  // Dropped: the fabric closes its end, so the peer reads EOF (or a reset).
+  pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, /*timeout_ms=*/10'000), 1);
+  char byte = 0;
+  EXPECT_LE(::read(fd, &byte, 1), 0);
+  ::close(fd);
+
+  fabric.send(make_msg(0, 1, 7, 64));
+  auto got = b.pop();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->header.seq, 7u);
+  EXPECT_EQ(got->payload.size(), 64u);
+  fabric.shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Both, TcpFabricReadPath, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "Reactor" : "ThreadPerPeer";
+                         });
 
 }  // namespace

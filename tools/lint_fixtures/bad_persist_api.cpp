@@ -1,32 +1,10 @@
-// Fixture: the deprecated raw registry surface outside src/core/.
+// Fixture: hand-built registry records outside src/core/.
 namespace fixture {
-
-struct NameService {
-  void put(int, int) {}
-  int get(int) { return 0; }
-  bool erase(int) { return false; }
-  void bind(int, int) {}
-  int resolve(int) { return 0; }
-  bool unbind(int) { return false; }
-};
 
 // Naming the raw record type outside src/core/ is flagged: records are
 // minted by the Cluster facade, never by hand.
 struct PersistRecord {  // LINT-EXPECT: deprecated-persist-api
   int live_machine = -1;
 };
-
-template <auto M>
-void call_through() {}
-
-inline void migrate_me() {
-  call_through<&NameService::put>();    // LINT-EXPECT: deprecated-persist-api
-  call_through<&NameService::get>();    // LINT-EXPECT: deprecated-persist-api
-  call_through<&NameService::erase>();  // LINT-EXPECT: deprecated-persist-api
-  // The canonical spellings stay legal.
-  call_through<&NameService::bind>();
-  call_through<&NameService::resolve>();
-  call_through<&NameService::unbind>();
-}
 
 }  // namespace fixture
