@@ -9,10 +9,12 @@
 // exceptions, persistence migration between daemons, and clean shutdown.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -60,12 +62,17 @@ int main(int argc, char** argv) {
       out << "127.0.0.1 " << grab_free_port() << "\n";
   }
 
-  // Launch the two daemon machines.
+  // Launch the two daemon machines.  Each dies with this driver
+  // (PR_SET_PDEATHSIG), even if the driver crashes before its shutdown
+  // requests; the getppid() check covers a driver already gone.
   std::vector<pid_t> daemons;
+  const pid_t driver = ::getpid();
   for (int m = 1; m <= 2; ++m) {
+    const std::string id = std::to_string(m);
     const pid_t pid = ::fork();
     if (pid == 0) {
-      const std::string id = std::to_string(m);
+      if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != driver)
+        ::_exit(126);
       ::execl(noded.c_str(), "oopp_noded", id.c_str(), endpoints.c_str(),
               static_cast<char*>(nullptr));
       ::_exit(127);

@@ -1,10 +1,11 @@
-// Bandwidth-optimal collectives and distributed BLAS kernels.
+// Collectives and distributed BLAS kernels over process groups.
 //
-// collectives.hpp builds the MPI-style collectives as nested remote method
-// executions: correct, but every algorithm moves the *whole* vector along
-// every tree edge, so a B-byte allreduce costs ~2·log2(N)·B bytes on the
-// critical path.  This module adds the bandwidth-optimal forms the HPC
-// literature settled on, expressed in the same object style:
+// The paper's conclusion claims the framework has the expressive power of
+// the established models; this module makes that concrete by building the
+// MPI-style collectives purely out of objects executing methods on each
+// other.  Every member runs the same reentrant driver method (SPMD) and
+// exchanges segments member-to-member, in the bandwidth-optimal forms the
+// HPC literature settled on:
 //
 //   ring      — reduce-scatter + allgather around a ring: 2·(N-1) messages
 //               per member but only ~2·B·(N-1)/N bytes through any NIC —
@@ -13,8 +14,8 @@
 //               (allgather): log2(N) rounds, ~2·B bytes per member; the
 //               large-payload winner when N is a power of two.
 //   two-pass  — the classic binomial reduce-then-broadcast, kept for tiny
-//               payloads (latency-bound) but now *segmented*: the payload
-//               is chunked so hop k+1's send overlaps hop k's receive.
+//               payloads (latency-bound) but *segmented*: the payload is
+//               chunked so hop k+1's send overlaps hop k's receive.
 //
 // Selection between them is by payload size x member count under a
 // net::CostModel (CostHints below); Algo::kAuto picks the argmin.
@@ -29,7 +30,9 @@
 // colocated with each ArrayPageDevice of an Array's BlockStorage, running
 // BLAS-1/2 kernels *on the machine that owns the pages* (paper §3: move
 // the computation to the data) and combining partials through the tree
-// reductions above instead of gathering data to the master.
+// reductions above instead of gathering data to the master.  Its
+// member-resident vector collectives (bcast/reduce/allreduce_members,
+// set_member_data/member_data) are the MPI set for benches and tests.
 #pragma once
 
 #include <algorithm>
@@ -43,13 +46,13 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "array/array.hpp"
-#include "coll/collectives.hpp"
 #include "core/group.hpp"
 #include "core/remote_ptr.hpp"
 #include "net/cost_model.hpp"
@@ -61,6 +64,29 @@
 #include "util/checked_mutex.hpp"
 
 namespace oopp::coll {
+
+enum class ReduceKind : std::uint8_t {
+  kSum = 0,
+  kProd = 1,
+  kMin = 2,
+  kMax = 3,
+};
+
+template <class T>
+T combine_one(ReduceKind k, T a, T b) {
+  switch (k) {
+    case ReduceKind::kSum:
+      return a + b;
+    case ReduceKind::kProd:
+      return a * b;
+    case ReduceKind::kMin:
+      return b < a ? b : a;
+    case ReduceKind::kMax:
+      return a < b ? b : a;
+  }
+  OOPP_CHECK_MSG(false, "unknown ReduceKind");
+  return a;
+}
 
 // ---------------------------------------------------------------------------
 // Cost model hooks
@@ -164,9 +190,9 @@ enum class Algo : std::uint8_t {
 // ---------------------------------------------------------------------------
 
 /// Where member `rel` sits in the binomial tree over [0, n): its parent
-/// (-1 for the root) and its children, largest subtree first.  Same
-/// recursive-halving schedule as CollWorker: the owner of [lo, lo+span)
-/// hands [lo+half, lo+span) to the member at lo+half.
+/// (-1 for the root) and its children, largest subtree first.  The
+/// recursive-halving schedule: the owner of [lo, lo+span) hands
+/// [lo+half, lo+span) to the member at lo+half.
 struct TreeShape {
   std::int32_t parent = -1;
   std::vector<std::int32_t> children;
@@ -219,8 +245,8 @@ class Peer;
 
 /// Everything a member needs to participate, distributed down the
 /// binomial tree in one pass (N-1 messages total, none of them from the
-/// master after the first — the O(N^2)-bytes-from-one-NIC flat wiring
-/// was the setup bottleneck make_group had).
+/// master after the first — a flat wiring pushes N group copies, O(N^2)
+/// bytes, through the master's one NIC).
 struct Wiring {
   std::int32_t n = 0;
   ProcessGroup<Peer> group;
@@ -233,10 +259,9 @@ void oopp_serialize(Ar& ar, Wiring& w) {
 }
 
 /// A collective group member, colocated with one storage device when
-/// created by Communicator::over.  Unlike CollWorker (whose tree
-/// collectives nest synchronous calls), Peer members run *drivers*
-/// concurrently (SPMD style): every member executes the same reentrant
-/// driver method for one epoch, exchanging segments through put_seg.
+/// created by Communicator::over.  Members run *drivers* concurrently
+/// (SPMD style): every member executes the same reentrant driver method
+/// for one epoch, exchanging segments through put_seg.
 ///
 /// Message-loss safety: segments are staged by (epoch, channel, segment,
 /// sender) and *overwrite* on duplicate delivery, so a retried put_seg
@@ -271,7 +296,7 @@ class Peer {
       s = half;
     }
     // Wiring completes as a whole or not at all (same contract as
-    // tree_bcast).  oopp-lint: allow(future-bare-get)
+    // join()).  oopp-lint: allow(future-bare-get)
     for (auto& f : kids) f.get();
   }
 

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <new>
 
 #include "net/tcp_wire.hpp"
 #include "telemetry/metrics.hpp"
@@ -151,8 +152,12 @@ bool Reactor::do_read(Conn& conn) {
     if (r == 0) return false;  // EOF
     rm.bytes.add(static_cast<std::uint64_t>(r));
     ms.clear();
-    if (!conn.decoder.feed(buf.data(), static_cast<std::size_t>(r), ms))
-      return false;  // malformed stream: drop the connection
+    try {
+      if (!conn.decoder.feed(buf.data(), static_cast<std::size_t>(r), ms))
+        return false;  // malformed stream: drop the connection
+    } catch (const std::bad_alloc&) {
+      return false;  // the announced payload does not fit: drop it too
+    }
     if (ms.empty()) continue;
     rm.frames.add(ms.size());
     legacy_frames.add(ms.size());

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <thread>
 
@@ -81,8 +82,9 @@ struct TcpFabric::Listener {
   }
 
   /// The thread-per-peer reader: blocking read_chunk-sized reads into the
-  /// same incremental decoder the reactor uses, until EOF, a socket error
-  /// or a malformed stream — each of which drops the connection.
+  /// same incremental decoder the reactor uses, until EOF, a socket error,
+  /// a malformed stream or a payload too large to allocate — each of
+  /// which drops the connection.
   void read_loop(int c, std::size_t read_chunk) {
     static auto& frames =
         telemetry::Metrics::scope_for("net").counter("tcp_frames_received");
@@ -94,7 +96,11 @@ struct TcpFabric::Listener {
       if (r < 0 && errno == EINTR) continue;
       if (r <= 0) break;
       ms.clear();
-      if (!decoder.feed(buf.data(), static_cast<std::size_t>(r), ms)) break;
+      try {
+        if (!decoder.feed(buf.data(), static_cast<std::size_t>(r), ms)) break;
+      } catch (const std::bad_alloc&) {
+        break;  // the announced payload does not fit: drop the connection
+      }
       if (ms.empty()) continue;
       frames.add(ms.size());
       slot->deliver(std::move(ms));

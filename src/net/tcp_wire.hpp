@@ -344,11 +344,22 @@ inline bool split_batch(
 /// extension, and 0xB5 batch frames (split zero-copy through
 /// split_batch).  One decoder per connection, driven by a single reader
 /// thread: no internal locking.
+///
+/// A header only *announces* a payload length, so the payload store is
+/// reserved up to kPayloadReserveBytes when the header completes and
+/// grows (without zero-filling) only as payload bytes arrive: a hostile
+/// header cannot pin memory the peer never sends.
 class StreamFrameDecoder {
  public:
+  /// Up-front reservation cap.  Frames up to this size (1 MiB bulk
+  /// payloads and the batches that carry them) are still allocated once.
+  static constexpr std::size_t kPayloadReserveBytes = std::size_t{4} << 20;
+
   /// Consume `n` bytes of stream.  Returns false on a malformed stream
   /// (bad batch header, bad held-locks extension, a payload length over
-  /// kMaxBatchBytes); the connection must then be dropped.
+  /// kMaxBatchBytes); the connection must then be dropped.  Throws
+  /// std::bad_alloc if the store cannot grow — callers drop the
+  /// connection on that too.
   bool feed(const std::uint8_t* data, std::size_t n,
             std::vector<Message>& out) {
     while (n > 0 || ready()) {
@@ -363,14 +374,16 @@ class StreamFrameDecoder {
         continue;
       }
       const std::size_t take =
-          std::min<std::size_t>(n, store_.size() - filled_);
-      // An empty payload's store has no buffer: memcpy(nullptr, ..., 0)
-      // is undefined.
-      if (take > 0) std::memcpy(store_.data() + filled_, data, take);
-      filled_ += take;
+          std::min<std::size_t>(n, payload_len_ - store_.size());
+      if (store_.size() + take > store_.capacity())
+        store_.reserve(std::min<std::size_t>(
+            payload_len_, std::max(2 * store_.capacity(),
+                                   store_.size() + take)));
+      const auto* bytes = reinterpret_cast<const std::byte*>(data);
+      store_.insert(store_.end(), bytes, bytes + take);
       data += take;
       n -= take;
-      if (filled_ < store_.size()) return true;  // payload still incomplete
+      if (store_.size() < payload_len_) return true;  // payload incomplete
       if (!emit(out)) return false;
     }
     return true;
@@ -383,7 +396,7 @@ class StreamFrameDecoder {
     // A zero-byte unit (empty payload, or a header fully buffered by the
     // previous chunk) completes without consuming further input.
     return (state_ == State::kHeader && have_ == need_) ||
-           (state_ == State::kPayload && filled_ == store_.size());
+           (state_ == State::kPayload && store_.size() == payload_len_);
   }
 
   /// The header grew to `need_` bytes: classify, extend, or finish it.
@@ -418,8 +431,7 @@ class StreamFrameDecoder {
   bool begin_payload() {
     if (payload_len_ > kMaxBatchBytes) return false;
     state_ = State::kPayload;
-    store_.assign(static_cast<std::size_t>(payload_len_), std::byte{});
-    filled_ = 0;
+    store_.reserve(std::min<std::size_t>(payload_len_, kPayloadReserveBytes));
     return true;
   }
 
@@ -439,7 +451,6 @@ class StreamFrameDecoder {
     have_ = 0;
     need_ = 1;
     store_.clear();
-    filled_ = 0;
     return ok;
   }
 
@@ -453,7 +464,6 @@ class StreamFrameDecoder {
   std::uint32_t batch_count_ = 0;
   std::uint64_t payload_len_ = 0;
   std::vector<std::byte> store_;
-  std::size_t filled_ = 0;
 };
 
 }  // namespace oopp::net::wire

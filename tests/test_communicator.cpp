@@ -1,6 +1,7 @@
 // Bandwidth-optimal collectives and the Communicator BLAS layer: tree
 // shape and cost-model selection units, every allreduce algorithm checked
 // against a local model over a size sweep, segmented broadcast/reduce,
+// the MPI-style set (flat fan-out and tree) on Peer/Communicator,
 // slab kernels against in-memory references, telemetry counters, faults
 // (5% message loss must yield exact results — never a silent wrong
 // answer), and concurrent scalar collectives on one group.
@@ -298,6 +299,107 @@ TEST(Communicator, TelemetryCountersAdvance) {
   // In-process cluster: every member's counters land in this process.
   EXPECT_EQ(ring.value() - ring0, 4u);  // one per member
   EXPECT_GE(bytes.value() - bytes0, 4u * 3u * 16u * sizeof(double));
+}
+
+// ---------------------------------------------------------------------------
+// The MPI-style set on Peer/Communicator (docs/COLLECTIVES.md's table):
+// flat = the master fans out to every member through ProcessGroup::gather;
+// tree = the Communicator's segmented binomial drivers rooted at member 0.
+// ---------------------------------------------------------------------------
+
+TEST(Collectives, CombineOne) {
+  EXPECT_EQ(coll::combine_one(ReduceKind::kSum, 2.0, 3.0), 5.0);
+  EXPECT_EQ(coll::combine_one(ReduceKind::kProd, 2.0, 3.0), 6.0);
+  EXPECT_EQ(coll::combine_one(ReduceKind::kMin, 2.0, 3.0), 2.0);
+  EXPECT_EQ(coll::combine_one(ReduceKind::kMax, 2.0, 3.0), 3.0);
+}
+
+TEST(Collectives, BroadcastBothTopologies) {
+  CommFixture fx;
+  auto comm = fx.comm(7);
+  const std::vector<double> flat{1.5, -2.5, 3.0};
+  comm.members().gather<&coll::Peer::set_data>(flat);
+  for (const auto& v : comm.member_data()) EXPECT_EQ(v, flat);
+
+  const std::vector<double> tree{4.0, 0.25, -8.0, 1e9};
+  comm.members()[0].call<&coll::Peer::set_data>(tree);
+  comm.bcast_members(static_cast<std::int64_t>(tree.size()));
+  for (const auto& v : comm.member_data()) EXPECT_EQ(v, tree);
+  comm.destroy();
+}
+
+TEST(Collectives, ReduceBothTopologies) {
+  CommFixture fx;
+  auto comm = fx.comm(6);
+  std::vector<std::vector<double>> data;
+  for (int i = 0; i < 6; ++i) data.push_back({double(i), double(i) * 10});
+  for (const ReduceKind kind : {ReduceKind::kSum, ReduceKind::kMax}) {
+    const std::vector<double> want = kind == ReduceKind::kSum
+                                         ? std::vector<double>{15.0, 150.0}
+                                         : std::vector<double>{5.0, 50.0};
+    // Restaged every pass: the tree reduce leaves interior members'
+    // vectors unspecified.
+    comm.set_member_data(data);
+    EXPECT_EQ(
+        reduce_reference(comm.members().gather<&coll::Peer::data>(), kind),
+        want);
+    comm.reduce_members(kind, 2);
+    EXPECT_EQ(comm.members()[0].call<&coll::Peer::data>(), want);
+  }
+  comm.destroy();
+}
+
+TEST(Collectives, AllReduce) {
+  CommFixture fx;
+  auto comm = fx.comm(5);
+  std::vector<std::vector<double>> data;
+  for (int i = 0; i < 5; ++i) data.push_back({double(i + 1)});
+  comm.set_member_data(data);
+  comm.allreduce_members(ReduceKind::kProd);
+  // Every member now holds the result.
+  for (const auto& v : comm.member_data())
+    EXPECT_EQ(v, std::vector<double>{120.0});
+  comm.destroy();
+}
+
+TEST(Collectives, GatherOrdersById) {
+  CommFixture fx;
+  auto comm = fx.comm(6);
+  for (std::size_t i = 0; i < comm.size(); ++i)
+    comm.members()[i].call<&coll::Peer::set_data>(
+        std::vector<double>{double(i) * 2});
+  const auto all = comm.member_data();
+  ASSERT_EQ(all.size(), 6u);
+  for (std::size_t i = 0; i < all.size(); ++i)
+    EXPECT_EQ(all[i], std::vector<double>{double(i) * 2});
+  comm.destroy();
+}
+
+TEST(Collectives, ScatterDeliversChunks) {
+  CommFixture fx;
+  auto comm = fx.comm(5);
+  std::vector<std::vector<double>> chunks;
+  for (int i = 0; i < 5; ++i) chunks.push_back({double(i), double(i) + 0.5});
+  comm.set_member_data(chunks);
+  for (std::size_t i = 0; i < comm.size(); ++i) {
+    EXPECT_EQ(comm.members()[i].call<&coll::Peer::id>(),
+              static_cast<std::int32_t>(i));
+    EXPECT_EQ(comm.members()[i].call<&coll::Peer::data>(), chunks[i]);
+  }
+  comm.destroy();
+}
+
+TEST(Collectives, SingleMemberGroup) {
+  CommFixture fx;
+  auto comm = fx.comm(1);
+  comm.members()[0].call<&coll::Peer::set_data>(std::vector<double>{9.0});
+  comm.bcast_members(1);
+  comm.reduce_members(ReduceKind::kSum, 1);
+  EXPECT_EQ(comm.allreduce_members(ReduceKind::kSum), Algo::kTwoPass);
+  const auto all = comm.member_data();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0], std::vector<double>{9.0});
+  comm.destroy();
 }
 
 // ---------------------------------------------------------------------------

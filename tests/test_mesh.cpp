@@ -2,24 +2,30 @@
 // machines 1 and 2 are real separate processes running the oopp_noded
 // daemon, reached over TCP.  Remote construction, method execution,
 // process groups and cross-process passivation/activation must all work
-// exactly as in the single-process fabrics.
+// exactly as in the single-process fabrics.  A daemon must also die with
+// its driver: a crashed driver may not leak machine processes.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
+#include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
-#include "coll/collectives.hpp"
+#include "coll/communicator.hpp"
 #include "core/oopp.hpp"
 #include "fft/fft3d.hpp"
 #include "fft/fft_worker.hpp"
 #include "storage/page_device.hpp"
+#include "storage/replicated_page_device.hpp"
 #include "util/prng.hpp"
 
 #ifndef OOPP_NODED_PATH
@@ -44,29 +50,42 @@ std::uint16_t grab_free_port() {
   return port;
 }
 
+/// Fork an oopp_noded for `machine`, tied to the calling thread's life:
+/// PR_SET_PDEATHSIG kills the daemon when its driver dies without a
+/// shutdown, and the getppid() check catches a driver that died before
+/// the prctl took effect.  Only async-signal-safe calls after the fork.
+pid_t spawn_daemon(const char* machine, const char* endpoints_file) {
+  const pid_t driver = ::getpid();
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != driver)
+    ::_exit(126);
+  ::execl(OOPP_NODED_PATH, "oopp_noded", machine, endpoints_file,
+          static_cast<char*>(nullptr));
+  ::_exit(127);  // exec failed
+}
+
+std::string write_endpoints(const std::string& tag, int machines) {
+  static int counter = 0;
+  const std::string path = "/tmp/oopp-mesh-" + std::to_string(::getpid()) +
+                           "-" + tag + std::to_string(counter++) +
+                           ".endpoints";
+  std::ofstream out(path);
+  for (int m = 0; m < machines; ++m)
+    out << "127.0.0.1 " << grab_free_port() << "\n";
+  return path;
+}
+
 class MeshDeployment : public ::testing::Test {
  protected:
   static constexpr int kMachines = 3;  // 0 = driver, 1..2 = daemons
 
   void SetUp() override {
-    endpoints_file_ = "/tmp/oopp-mesh-" + std::to_string(::getpid()) +
-                      "-" + std::to_string(counter_++) + ".endpoints";
-    std::ofstream out(endpoints_file_);
-    for (int m = 0; m < kMachines; ++m) {
-      ports_.push_back(grab_free_port());
-      out << "127.0.0.1 " << ports_.back() << "\n";
-    }
-    out.close();
-
+    endpoints_file_ = write_endpoints("", kMachines);
     for (int m = 1; m < kMachines; ++m) {
-      const pid_t pid = ::fork();
+      const std::string id = std::to_string(m);
+      const pid_t pid = spawn_daemon(id.c_str(), endpoints_file_.c_str());
       ASSERT_GE(pid, 0);
-      if (pid == 0) {
-        const std::string id = std::to_string(m);
-        ::execl(OOPP_NODED_PATH, "oopp_noded", id.c_str(),
-                endpoints_file_.c_str(), static_cast<char*>(nullptr));
-        ::_exit(127);  // exec failed
-      }
       daemons_.push_back(pid);
     }
 
@@ -90,9 +109,7 @@ class MeshDeployment : public ::testing::Test {
     ::unlink(endpoints_file_.c_str());
   }
 
-  static inline int counter_ = 0;
   std::string endpoints_file_;
-  std::vector<std::uint16_t> ports_;
   std::vector<pid_t> daemons_;
   std::unique_ptr<Cluster> cluster_;
 };
@@ -142,23 +159,46 @@ TEST_F(MeshDeployment, PassivateInOneProcessActivateInAnother) {
 }
 
 TEST_F(MeshDeployment, CollectivesSpanProcesses) {
-  // A collective group with members in both daemons; tree ops recurse
-  // across real process boundaries.
+  // Peers in both daemons: the SPMD drivers exchange segments
+  // member-to-member across real process boundaries.
   namespace coll = oopp::coll;
-  auto group = coll::make_group<double>(4, [](int i) {
-    return static_cast<net::MachineId>(1 + (i % 2));
-  });
-  for (int i = 0; i < 4; ++i)
-    group[i].call<&coll::CollWorker<double>::set_data>(
-        std::vector<double>{double(i + 1)});
-  auto total =
-      coll::reduce(group, 0, coll::ReduceKind::kSum, coll::Topology::kTree);
-  EXPECT_EQ(total, std::vector<double>{10.0});
-  coll::broadcast(group, 2, std::vector<double>{7.0}, coll::Topology::kTree);
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(group[i].call<&coll::CollWorker<double>::data>(),
-              std::vector<double>{7.0});
-  group.destroy_all();
+  auto comm = coll::Communicator::on_machines({1, 2, 1, 2});
+  comm.set_member_data({{1.0, -1.0}, {2.0, -2.0}, {3.0, -3.0}, {4.0, -4.0}});
+  comm.allreduce_members(coll::ReduceKind::kSum);
+  for (const auto& v : comm.member_data())
+    EXPECT_EQ(v, (std::vector<double>{10.0, -10.0}));
+  comm.members()[0].call<&coll::Peer::set_data>(std::vector<double>{7.0});
+  comm.bcast_members(1);
+  for (const auto& v : comm.member_data())
+    EXPECT_EQ(v, std::vector<double>{7.0});
+  comm.destroy();
+}
+
+TEST_F(MeshDeployment, ReplicatedDeviceInDaemon) {
+  // A coordinator in one daemon fronting replicas spread over both.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("oopp-mesh-replica-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  std::vector<remote_ptr<storage::ArrayPageDevice>> replicas;
+  for (int j = 0; j < 3; ++j)
+    replicas.push_back(cluster_->make_remote<storage::ArrayPageDevice>(
+        static_cast<net::MachineId>(1 + j % 2),
+        (dir / ("dev.r" + std::to_string(j))).string(), 2, 4, 4, 4,
+        storage::DeviceOptions{}));
+  auto coord = cluster_->make_remote<storage::ReplicatedPageDevice>(
+      2, replicas, storage::ReplicaOptions{.replicas = 3});
+  storage::Page page(4 * 4 * 4 * sizeof(double));
+  for (std::size_t i = 0; i < page.size(); ++i)
+    page[i] = static_cast<std::uint8_t>(i * 5);
+  coord.call<&storage::PageDevice::write_pages>(
+      std::vector<storage::Page>{page}, std::vector<std::int32_t>{1});
+  EXPECT_EQ(coord.call<&storage::PageDevice::read_pages>(
+                std::vector<std::int32_t>{1}),
+            std::vector<storage::Page>{page});
+  EXPECT_EQ(coord.call<&storage::ReplicatedPageDevice::alive_replicas>(), 3);
+  coord.destroy();
+  for (auto& r : replicas) r.destroy();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(MeshDeployment, WatchdogProbesAcrossProcesses) {
@@ -203,6 +243,62 @@ TEST_F(MeshDeployment, FftGroupSpansProcesses) {
     err = std::max(err, std::abs(got[i] - expect[i]));
   EXPECT_LT(err, 1e-9);
   dfft.shutdown();
+}
+
+TEST(DaemonLifetime, DaemonDiesWithItsDriver) {
+  // This process adopts orphans, so it can reap the daemon once the
+  // driver between them is gone.  All strings exist before the forks.
+  const std::string endpoints = write_endpoints("orphan", 2);
+  sockaddr_in daemon_addr{};
+  daemon_addr.sin_family = AF_INET;
+  daemon_addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  daemon_addr.sin_port = htons(net::load_endpoints(endpoints)[1].port);
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t driver = ::fork();
+  ASSERT_GE(driver, 0);
+  if (driver == 0) {
+    // A driver that spawns its daemon, waits until it listens (so the
+    // daemon is past its start-up checks) and dies without a shutdown.
+    const pid_t d = spawn_daemon("1", endpoints.c_str());
+    const timespec pause{0, 10'000'000};
+    for (int tries = 0; tries < 500; ++tries) {
+      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      const bool up =
+          ::connect(fd, reinterpret_cast<const sockaddr*>(&daemon_addr),
+                    sizeof(daemon_addr)) == 0;
+      ::close(fd);
+      if (up) break;
+      ::nanosleep(&pause, nullptr);
+    }
+    ::_exit(::write(fds[1], &d, sizeof(d)) == sizeof(d) ? 0 : 1);
+  }
+  ::close(fds[1]);
+  pid_t daemon = -1;
+  const ssize_t got = ::read(fds[0], &daemon, sizeof(daemon));
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(driver, &status, 0), driver);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof(daemon)));
+  ASSERT_GT(daemon, 0);
+
+  bool reaped = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!reaped && std::chrono::steady_clock::now() < deadline) {
+    reaped = ::waitpid(daemon, &status, WNOHANG) == daemon;
+    if (!reaped) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!reaped) {
+    ::kill(daemon, SIGKILL);
+    ::waitpid(daemon, &status, 0);
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  ::unlink(endpoints.c_str());
+  ASSERT_TRUE(reaped) << "oopp_noded outlived its driver by 5 s";
+  ASSERT_TRUE(WIFSIGNALED(status));
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <poll.h>
 
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "net/cost_model.hpp"
@@ -273,6 +275,58 @@ TEST(TcpFabric, SelfSendIsDeliveredWithoutTheKernel) {
   // No socket read delivered it.
   EXPECT_EQ(received.value(), before);
   fabric.shutdown();
+}
+
+/// This process's resident set, from /proc/self/status.
+long vm_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  for (std::string key; status >> key;) {
+    if (key == "VmRSS:") {
+      long kib = 0;
+      status >> kib;
+      return kib;
+    }
+  }
+  return -1;
+}
+
+// A header only announces its payload: memory must follow the bytes that
+// actually arrive, or one bare header pins up to kMaxBatchBytes.
+TEST(StreamFrameDecoder, BareHeaderDoesNotPinTheAnnouncedPayload) {
+  std::uint8_t hdr[net::wire::kMaxFrameHeaderSize];
+  const std::size_t n = net::wire::encode_header(
+      make_msg(0, 1, 1).header, std::uint64_t{256} << 20, hdr);
+  const long before = vm_rss_kib();
+  ASSERT_GT(before, 0);
+  net::wire::StreamFrameDecoder decoder;
+  std::vector<net::Message> out;
+  ASSERT_TRUE(decoder.feed(hdr, n, out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_LT(vm_rss_kib() - before, 64 * 1024);
+}
+
+// Past the up-front reservation the store grows as bytes arrive; the
+// message must still come out whole.
+TEST(StreamFrameDecoder, PayloadBeyondTheReservationArrivesIntact) {
+  const std::size_t len =
+      net::wire::StreamFrameDecoder::kPayloadReserveBytes * 2 + 3;
+  std::vector<std::uint8_t> stream(net::wire::kMaxFrameHeaderSize);
+  stream.resize(net::wire::encode_header(make_msg(0, 1, 5).header, len,
+                                         stream.data()));
+  for (std::size_t i = 0; i < len; ++i)
+    stream.push_back(static_cast<std::uint8_t>(i * 7));
+  net::wire::StreamFrameDecoder decoder;
+  std::vector<net::Message> out;
+  constexpr std::size_t kRead = 65'536;
+  for (std::size_t off = 0; off < stream.size(); off += kRead)
+    ASSERT_TRUE(decoder.feed(stream.data() + off,
+                             std::min(kRead, stream.size() - off), out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].header.seq, 5u);
+  const auto flat = out[0].payload.to_vector();
+  ASSERT_EQ(flat.size(), len);
+  for (std::size_t i = 0; i < len; ++i)
+    ASSERT_EQ(flat[i], static_cast<std::byte>(i * 7)) << "byte " << i;
 }
 
 // Both inbound read paths: the epoll reactor and thread-per-peer readers.

@@ -85,6 +85,15 @@ deprecated-persist-api  Hand-built ``PersistRecord``s bypass the typed
                         migration table in README.md.  ``src/core/`` is
                         exempt: the record type is defined (and mediated)
                         there.
+unregistered-remotable-class
+                        Every ``class_def<T>`` specialization under
+                        ``src/`` needs a matching ``register_class<T>()``
+                        in ``tools/oopp_noded.cpp`` (looked up next to the
+                        ``src/`` tree the file sits in).  Without it a
+                        multi-process deployment fails at run time with
+                        "unknown class" the first time a driver constructs
+                        T in a daemon.  Matched on T's last name
+                        component.
 
 Usage
 -----
@@ -160,6 +169,8 @@ RULES = {
         "gather*/barrier* collectives inside a servant method",
     "deprecated-persist-api":
         "hand-built PersistRecord outside src/core/ — use the facade",
+    "unregistered-remotable-class":
+        "class_def<T> under src/ without register_class<T> in oopp_noded",
 }
 
 
@@ -760,6 +771,64 @@ def check_dispatch_blocking(path: Path, text: str, raw_lines: list[str],
 
 
 # --------------------------------------------------------------------------
+# unregistered-remotable-class
+# --------------------------------------------------------------------------
+
+# A class_def<T> specialization and a daemon's register_class<T>(), both
+# keyed by the last name component of T (template arguments dropped).
+CLASS_DEF_SPEC_RE = re.compile(
+    r"\bstruct\s+(?:\w+\s*::\s*)*class_def\s*<\s*(?:\w+\s*::\s*)*(\w+)")
+REGISTER_CLASS_RE = re.compile(
+    r"\bregister_class\s*<\s*(?:\w+\s*::\s*)*(\w+)")
+# The daemon that must serve every shipped class, relative to the
+# directory holding the src/ tree.
+NODED_REL = "tools/oopp_noded.cpp"
+_registered_cache: dict[Path, set[str]] = {}
+
+
+def registered_classes(noded: Path) -> set[str]:
+    if noded not in _registered_cache:
+        text = strip_comments_and_strings(
+            noded.read_text(encoding="utf-8", errors="replace"))
+        _registered_cache[noded] = {
+            m.group(1) for m in REGISTER_CLASS_RE.finditer(text)}
+    return _registered_cache[noded]
+
+
+def check_unregistered_class(path: Path, text: str, raw_lines: list[str],
+                             rel: str, root: Path):
+    if rel.startswith("src/"):
+        tree = ""
+    elif "/src/" in rel:
+        tree = rel[: rel.index("/src/") + 1]
+    else:
+        return []
+    noded = root / tree / NODED_REL
+    if not noded.is_file():
+        return []  # a tree without a daemon has nothing to register into
+    registered = registered_classes(noded)
+    violations = []
+    for m in CLASS_DEF_SPEC_RE.finditer(text):
+        name = m.group(1)
+        if len(name) <= 1 or name in registered:
+            continue  # a template parameter, or served by the daemon
+        line = line_of(text, m.start())
+        if suppressed(raw_lines, line, "unregistered-remotable-class"):
+            continue
+        violations.append(
+            Violation(
+                path,
+                line,
+                "unregistered-remotable-class",
+                f"class_def<{name}> has no register_class<{name}> in "
+                f"{tree}{NODED_REL} — a daemon answers 'unknown class' "
+                f"when a driver constructs it there",
+            )
+        )
+    return violations
+
+
+# --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
 
@@ -783,6 +852,7 @@ def lint_file(path: Path, root: Path, ctx: dict | None = None
     violations += check_condvar_wait(path, text, raw_lines, ctx["condvars"])
     violations += check_dispatch_blocking(path, text, raw_lines,
                                           ctx["servants"])
+    violations += check_unregistered_class(path, text, raw_lines, rel, root)
     return violations
 
 

@@ -18,13 +18,14 @@
 #include <string>
 
 #include "array/array.hpp"
-#include "coll/collectives.hpp"
+#include "coll/communicator.hpp"
 #include "core/oopp.hpp"
 #include "fft/fft_worker.hpp"
 #include "dsm/page_cache.hpp"
 #include "kv/kv_store.hpp"
 #include "storage/array_page_device.hpp"
 #include "storage/page_device.hpp"
+#include "storage/replicated_page_device.hpp"
 
 namespace {
 
@@ -37,10 +38,11 @@ void register_shipped_classes() {
   rpc::register_class<RemoteVector<int>>();
   rpc::register_class<storage::PageDevice>();
   rpc::register_class<storage::ArrayPageDevice>();
+  rpc::register_class<storage::ReplicatedPageDevice>();
   rpc::register_class<array::Array>();
   rpc::register_class<fft::FFTWorker>();
   rpc::register_class<fft::GroupDirectory>();
-  rpc::register_class<coll::CollWorker<double>>();
+  rpc::register_class<coll::Peer>();
   rpc::register_class<kv::KvShard>();
   rpc::register_class<dsm::CoherentDevice>();
   rpc::register_class<dsm::PageCache>();
