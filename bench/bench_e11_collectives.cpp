@@ -85,6 +85,15 @@ int run_smoke() {
               "payload", "two-pass ms", "single ms", "speedup");
   std::printf("---------+---------------------------+---------\n");
 
+  // Warm-up, untimed, on the free network: the first collectives a group
+  // runs pay one-off start-up costs (worker-pool growth, first-touch
+  // buffers) that would otherwise land on the 64k row alone.
+  comm.set_member_data(std::vector<std::vector<double>>(
+      static_cast<std::size_t>(n), std::vector<double>(8'192, 1.25)));
+  for (const coll::Algo algo :
+       {coll::Algo::kTwoPass, coll::Algo::kRing, coll::Algo::kHalving})
+    (void)comm.allreduce_members(coll::ReduceKind::kSum, algo);
+
   struct Row {
     const char* tag;
     std::size_t len;  // doubles

@@ -58,7 +58,6 @@ struct ClusterStats {
       t.objects_destroyed += n.objects_destroyed;
       t.pool_threads += n.pool_threads;
       t.pool_tasks_run += n.pool_tasks_run;
-      t.dispatch_shards += n.dispatch_shards;
       t.queue_depth_hwm = std::max(t.queue_depth_hwm, n.queue_depth_hwm);
       t.pool_busy += n.pool_busy;
     }

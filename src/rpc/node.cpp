@@ -43,23 +43,6 @@ telemetry::Histogram& verb_histogram(telemetry::Verb v) {
   return *hists[static_cast<std::size_t>(v)];
 }
 
-/// The object whose dispatch shard carries `req`. Destroy and passivate
-/// are control requests, but they act on one object through its command
-/// queue, and their payload opens with that object's id. Routing them on
-/// the object's own shard keeps them behind every request the sender
-/// issued to the object earlier; on the control shard they could overtake
-/// requests still waiting in the object's shard and retire it under them.
-net::ObjectId dispatch_key(const net::Message& req) {
-  static const net::MethodId kDestroy = net::method_id(kDestroyMethod);
-  static const net::MethodId kPassivate = net::method_id(kPassivateMethod);
-  if (req.header.object != net::kNodeObject) return req.header.object;
-  if (req.header.method != kDestroy && req.header.method != kPassivate)
-    return net::kNodeObject;
-  if (req.payload.size() < sizeof(std::uint64_t)) return net::kNodeObject;
-  serial::IArchive ia(req.payload);
-  return static_cast<net::ObjectId>(ia.read<std::uint64_t>());
-}
-
 /// rpc.retry scope: client-side retry driver + server-side dedup cache.
 struct RetryMetrics {
   telemetry::Counter& resends;            // retry attempts put on the wire
@@ -96,20 +79,18 @@ BreakerMetrics& breaker_metrics() {
   return m;
 }
 
-/// rpc.dispatch scope: the N:M routing layer between the receiver thread
-/// and the worker pool (docs/DISPATCH.md).
+/// rpc.dispatch scope: routing requests to object queues and pool tasks
+/// (docs/DISPATCH.md).
 struct DispatchMetrics {
-  telemetry::Counter& routed;             // requests routed to a shard
+  telemetry::Counter& routed;             // requests handed to on_request
   telemetry::Counter& queue_full_rejects; // bounded object queues refusing
-  telemetry::Histogram& shard_depth;      // shard queue depth at enqueue
 };
 
 DispatchMetrics& dispatch_metrics() {
   static DispatchMetrics m = [] {
     auto& s = telemetry::Metrics::scope_for("rpc.dispatch");
     return DispatchMetrics{s.counter("routed"),
-                           s.counter("queue_full_rejects"),
-                           s.histogram("shard_depth")};
+                           s.counter("queue_full_rejects")};
   }();
   return m;
 }
@@ -134,13 +115,9 @@ Node::Node(net::MachineId id, net::Fabric& fabric, Options opts)
       fabric_(fabric),
       pool_(ElasticPool::Options{.min_threads = opts.dispatch.workers,
                                  .max_threads = opts.dispatch.max_workers}),
-      objects_(opts.dispatch.shards),
       default_policy_(opts.default_policy) {
   has_default_policy_.store(default_policy_.retryable(),
                             std::memory_order_relaxed);
-  dispatch_shards_.reserve(objects_.shard_count());
-  for (std::size_t i = 0; i < objects_.shard_count(); ++i)
-    dispatch_shards_.push_back(std::make_unique<DispatchShard>());
 }
 
 bool Node::payload_intact(const net::Message& m) const {
@@ -154,6 +131,7 @@ void Node::start() {
   OOPP_CHECK(!started_);
   started_ = true;
   fabric_.attach(id_, &inbox_);
+  delivering_.store(true, std::memory_order_release);
   // oopp-lint: allow(raw-thread-primitive) — joined in stop().
   receiver_ = std::thread([this] { receive_loop(); });
   // oopp-lint: allow(raw-thread-primitive) — joined in stop_retry().
@@ -170,6 +148,8 @@ void Node::stop_receiving() {
   // Detach first: from here no fabric reader can push into inbox_, even
   // while peers are still sending (their frames are read and dropped), so
   // destroying this node under fire cannot deliver into a dead Inbox.
+  // Same-machine sends stop being delivered at the same point.
+  delivering_.store(false, std::memory_order_release);
   if (started_) fabric_.detach(id_);
   inbox_.close();
   if (receiver_.joinable()) receiver_.join();
@@ -217,89 +197,47 @@ void Node::wait_for_shutdown_request() {
 }
 
 void Node::receive_loop() {
-  while (auto msg = inbox_.pop()) {
-    if (!payload_intact(*msg)) {
-      if (msg->header.kind == net::MsgKind::kRequest) {
-        // Answer directly, bypassing respond_error's dedup bookkeeping: a
-        // corrupted duplicate must not disturb the at-most-once record of
-        // the intact attempt that may be executing right now.
-        fabric_.send(net::make_response(
-            msg->header, net::CallStatus::kBadFrame,
-            serial::to_bytes(
-                std::string("payload checksum mismatch on request")),
-            opts_.checksums));
-      } else {
-        // Surface the corruption at the call site as BadFrame: this is an
-        // in-place rewrite of an inbound frame, not construction of one.
-        // oopp-lint: allow(raw-message-header)
-        msg->header.status = net::CallStatus::kBadFrame;
-        msg->payload = serial::to_bytes(
-            std::string("payload checksum mismatch on response"));
-        on_response(std::move(*msg));
-      }
-      continue;
-    }
-    if (msg->header.kind == net::MsgKind::kResponse) {
-      // Responses are completed inline — never queued behind servant work,
-      // so a servant blocked on a nested call always gets its reply.
-      on_response(std::move(*msg));
+  while (auto msg = inbox_.pop()) handle(std::move(*msg));
+}
+
+void Node::send(net::Message m) {
+  if (m.header.dst != id_) {
+    fabric_.send(std::move(m));
+    return;
+  }
+  // Safe on any sending thread — a client, a servant, the retry driver —
+  // because handle() never blocks and never runs servant code.
+  if (delivering_.load(std::memory_order_acquire)) handle(std::move(m));
+}
+
+void Node::handle(net::Message msg) {
+  if (!payload_intact(msg)) {
+    if (msg.header.kind == net::MsgKind::kRequest) {
+      // Answer directly, bypassing respond_error's dedup bookkeeping: a
+      // corrupted duplicate must not disturb the at-most-once record of
+      // the intact attempt that may be executing right now.
+      send(net::make_response(
+          msg.header, net::CallStatus::kBadFrame,
+          serial::to_bytes(std::string("payload checksum mismatch on request")),
+          opts_.checksums));
     } else {
-      route_request(std::move(*msg));
+      // Surface the corruption at the call site as BadFrame: this is an
+      // in-place rewrite of an inbound frame, not construction of one.
+      // oopp-lint: allow(raw-message-header)
+      msg.header.status = net::CallStatus::kBadFrame;
+      msg.payload = serial::to_bytes(
+          std::string("payload checksum mismatch on response"));
+      on_response(std::move(msg));
     }
+    return;
   }
-}
-
-void Node::route_request(net::Message req) {
-  // N:M dispatch stage 1 (docs/DISPATCH.md): the receiver thread only
-  // appends to the target shard's FIFO — the ordering chain is inbox FIFO
-  // -> shard FIFO -> object command queue FIFO, so two requests for one
-  // object can never reorder, while requests for objects in different
-  // shards are dispatched concurrently. Destroy and passivate ride their
-  // target object's shard (see dispatch_key).
-  const std::size_t shard = objects_.shard_of(dispatch_key(req));
-  DispatchShard& ds = *dispatch_shards_[shard];
-  bool kick = false;
-  std::size_t depth = 0;
-  {
-    std::lock_guard lock(ds.mu);
-    ds.q.push_back(std::move(req));
-    depth = ds.q.size();
-    if (!ds.draining) {
-      ds.draining = true;
-      kick = true;
-    }
-  }
-  note_depth(queue_depth_hwm_, depth);
-  auto& dm = dispatch_metrics();
-  dm.routed.add(1);
-  if (telemetry::enabled()) dm.shard_depth.record(depth);
-  if (!kick) return;
-  if (!pool_.try_submit([this, shard] { drain_shard(shard); })) {
-    // Pool already shut down: the node is tearing down, and fail_pending
-    // has settled (or will settle) every caller-side future.
-    std::lock_guard lock(ds.mu);
-    ds.draining = false;
-  }
-}
-
-void Node::drain_shard(std::size_t shard) {
-  ContextGuard guard(this);
-  DispatchShard& ds = *dispatch_shards_[shard];
-  // One drain task per shard at a time; on_request never blocks on
-  // servant work (executions go to object queues or their own pool
-  // tasks), so a shard cannot stall its siblings.
-  for (;;) {
-    net::Message req;
-    {
-      std::lock_guard lock(ds.mu);
-      if (ds.q.empty()) {
-        ds.draining = false;
-        return;
-      }
-      req = std::move(ds.q.front());
-      ds.q.pop_front();
-    }
-    on_request(std::move(req));
+  // Responses complete the pending call right here, on the delivering
+  // thread — never queued behind servant work, so a servant blocked on a
+  // nested call always gets its reply.
+  if (msg.header.kind == net::MsgKind::kResponse) {
+    on_response(std::move(msg));
+  } else {
+    on_request(std::move(msg));
   }
 }
 
@@ -355,11 +293,13 @@ void Node::on_response(net::Message resp) {
 }
 
 void Node::on_request(net::Message req) {
-  // Runs on a shard drain task (stage 2 of the N:M dispatch).  Everything
-  // here is quick and non-blocking: servant executions go to object
-  // command queues or their own pool tasks — a control or reentrant
-  // handler making a nested blocking call must never occupy the drain
-  // task that would deliver requests for its own shard.
+  // Runs on the receiver thread (or a same-machine sender's thread), in
+  // arrival order.  Everything here is quick and non-blocking: servant
+  // executions go to object command queues or their own pool tasks.  A
+  // request is in its object's queue before the next one is looked at, so
+  // a later destroy or passivate — enqueued by its control task — cannot
+  // overtake anything the sender issued to that object earlier.
+  dispatch_metrics().routed.add(1);
   if (dedup_intercept(req)) return;
   if (req.header.object == net::kNodeObject) {
     const bool ok = pool_.try_submit([this, req = std::move(req)]() mutable {
@@ -558,7 +498,6 @@ NodeStats Node::stats() const {
   s.objects_destroyed = objects_destroyed_.load(std::memory_order_relaxed);
   s.pool_threads = pool_.thread_count();
   s.pool_tasks_run = pool_.tasks_run();
-  s.dispatch_shards = objects_.shard_count();
   s.queue_depth_hwm = queue_depth_hwm_.load(std::memory_order_relaxed);
   s.pool_busy = pool_.busy_count();
   return s;
@@ -742,7 +681,7 @@ void Node::respond_ok(const net::Message& req, net::Buffer payload) {
   net::Message resp = net::make_response(req.header, net::CallStatus::kOk,
                                          std::move(payload), opts_.checksums);
   dedup_store(req, resp);
-  fabric_.send(std::move(resp));
+  send(std::move(resp));
 }
 
 void Node::respond_error(const net::Message& req, net::CallStatus status,
@@ -751,7 +690,7 @@ void Node::respond_error(const net::Message& req, net::CallStatus status,
       net::make_response(req.header, status, std::move(payload),
                          opts_.checksums);
   dedup_store(req, resp);
-  fabric_.send(std::move(resp));
+  send(std::move(resp));
 }
 
 bool Node::dedup_intercept(const net::Message& req) {
@@ -781,7 +720,7 @@ bool Node::dedup_intercept(const net::Message& req) {
     replay = it->second.response;
   }
   retry_metrics().dedup_replays.add(1);
-  fabric_.send(std::move(replay));
+  send(std::move(replay));
   return true;
 }
 
@@ -885,7 +824,7 @@ void Node::retry_loop() {
         continue;
       }
       retry_metrics().resends.add(1);
-      fabric_.send(std::move(r.msg));
+      send(std::move(r.msg));
     }
     for (auto peer : lost_attempts) record_peer_failure(peer);
     if (!giveups.empty()) {
@@ -1096,9 +1035,9 @@ std::future<net::Message> Node::async_raw(net::MachineId dst,
     }
     retry_cv_.notify_all();
   }
-  fabric_.send(net::make_request(id_, dst, seq, object, method,
-                                 std::move(payload), opts_.checksums, trace_id,
-                                 span_id, retryable ? 1u : 0u, held));
+  send(net::make_request(id_, dst, seq, object, method, std::move(payload),
+                         opts_.checksums, trace_id, span_id,
+                         retryable ? 1u : 0u, held));
   return fut;
 }
 

@@ -4,6 +4,8 @@
 // dispatched through the target object's FIFO command queue onto an elastic
 // thread pool (so servants can make nested blocking remote calls, as the
 // paper's FFT group does).  Responses complete the matching pending call.
+// Messages a node addresses to itself skip the fabric and the receiver:
+// the sending thread hands them straight to the same handler.
 //
 // Client side — call_raw/async_raw implement the synchronous semantics of
 // §2 ("each instruction, and all communications associated with it, is
@@ -62,7 +64,6 @@ struct NodeStats {
   std::uint64_t objects_destroyed = 0;
   std::uint64_t pool_threads = 0;
   std::uint64_t pool_tasks_run = 0;
-  std::uint64_t dispatch_shards = 0;   // configured shard count
   std::uint64_t queue_depth_hwm = 0;   // object-queue depth high water
   std::uint64_t pool_busy = 0;         // workers inside a task right now
 };
@@ -71,25 +72,21 @@ template <class Ar>
 void oopp_serialize(Ar& ar, NodeStats& s) {
   ar(s.objects_live, s.requests_served, s.control_requests,
      s.remote_exceptions, s.objects_spawned, s.objects_destroyed,
-     s.pool_threads, s.pool_tasks_run, s.dispatch_shards, s.queue_depth_hwm,
+     s.pool_threads, s.pool_tasks_run, s.queue_depth_hwm,
      s.pool_busy);
 }
 
 /// How a node turns decoded requests into servant executions: the N:M
-/// dispatch surface (docs/DISPATCH.md).  The receiver thread routes each
-/// request to its target object's shard; shards drain on the elastic
-/// worker pool, preserving per-object FIFO order while distinct objects
-/// proceed in parallel.
+/// dispatch surface (docs/DISPATCH.md).  The receiver thread appends each
+/// request to its target object's command queue; queues drain on the
+/// elastic worker pool, preserving per-object FIFO order while distinct
+/// objects proceed in parallel.
 struct DispatchOptions {
   /// Worker pool floor.  The pool still grows elastically up to
   /// max_workers — servants may make nested blocking remote calls, and a
   /// fixed pool could deadlock (see util/thread_pool.hpp).
   std::size_t workers = 2;
   std::size_t max_workers = 512;
-  /// Object-table / routing shards (rounded up to a power of two).  One
-  /// shard serializes routing per object subset; more shards let the
-  /// table and queues scale with object count.
-  std::size_t shards = 8;
   /// Per-object command-queue bound.  0 = unbounded.  When a queue is
   /// full, further non-reentrant invocations are refused with
   /// kUnavailable (rpc::PeerUnavailable at the caller) instead of
@@ -138,7 +135,7 @@ struct PeerHealth {
 class Node {
  public:
   struct Options {
-    /// Worker pool, sharding, and queue-bound knobs (docs/DISPATCH.md);
+    /// Worker pool and queue-bound knobs (docs/DISPATCH.md);
     /// replaces the old min_threads/max_threads pair.
     DispatchOptions dispatch{};
     /// Stamp every outgoing payload with a checksum and verify inbound
@@ -277,12 +274,17 @@ class Node {
   friend class ContextGuard;
 
   void receive_loop();
-  /// Append a decoded request to its target shard's FIFO and kick a
-  /// drain task if that shard is idle (runs on the receiver thread).
-  void route_request(net::Message req);
-  /// Pop-and-dispatch one shard's queued requests until empty (runs on a
-  /// pool worker; never blocks on servant work — see on_request).
-  void drain_shard(std::size_t shard);
+  /// Every message this node puts out goes through here: to the fabric,
+  /// or — addressed to this node — straight to handle() on the calling
+  /// thread.
+  void send(net::Message m);
+  /// Verify and dispatch one inbound message: requests to on_request,
+  /// responses to on_response.  Runs on the receiver thread, or on the
+  /// sender's thread for a same-machine message.  Neither handler blocks
+  /// or runs servant code — servant work goes to object queues and pool
+  /// tasks, a response only completes a promise — so handling inline can
+  /// never stall a thread behind another object's execution.
+  void handle(net::Message msg);
   void on_request(net::Message req);
   void on_response(net::Message resp);
 
@@ -360,17 +362,10 @@ class Node {
   ObjectTable objects_;
   std::thread receiver_;  // oopp-lint: allow(raw-thread-primitive)
   bool started_ = false;
-
-  /// One routing shard of the N:M dispatch: requests for objects with
-  /// shard_of(id) == index queue here in arrival order; a single drain
-  /// task per shard feeds them to on_request, so routing itself is FIFO
-  /// per shard (and therefore per object).
-  struct DispatchShard {
-    util::CheckedMutex mu{"rpc.Node.dispatch_shard"};
-    std::deque<net::Message> q;
-    bool draining = false;
-  };
-  std::vector<std::unique_ptr<DispatchShard>> dispatch_shards_;
+  /// True between start() and stop_receiving(): same-machine messages
+  /// sent outside that window are dropped, as a detached fabric drops
+  /// them.
+  std::atomic<bool> delivering_{false};
   std::atomic<std::uint64_t> queue_depth_hwm_{0};
 
   /// One in-flight client call: the promise the response completes, plus

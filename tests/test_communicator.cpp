@@ -642,15 +642,24 @@ struct FaultyCommCluster {
   }
 };
 
+/// One member per machine, none on the driver's machine 0: a node
+/// delivers same-machine calls without the fabric, so only cross-machine
+/// traffic meets the injected loss, and here every message is
+/// cross-machine.
+std::vector<net::MachineId> one_member_per_remote_machine(int members) {
+  std::vector<net::MachineId> machines;
+  for (int i = 1; i <= members; ++i)
+    machines.push_back(static_cast<net::MachineId>(i));
+  return machines;
+}
+
 // The satellite gate: at 5% message loss every collective still returns
 // the *exact* result — retries and the (epoch, chan, seg, from) staging
 // keep delivery effectively exactly-once across nested hops, and the
 // done-epoch window drops stragglers from finished collectives.
 TEST(CommunicatorFaults, ExactResultsAtFivePercentLoss) {
-  FaultyCommCluster fc;
-  std::vector<net::MachineId> machines;
-  for (int i = 0; i < 5; ++i)
-    machines.push_back(static_cast<net::MachineId>(i % 4));
+  FaultyCommCluster fc(6);
+  const auto machines = one_member_per_remote_machine(5);
   auto comm = Communicator::on_machines(machines);
   const auto data = random_chunks(5, 40, 91);
   const auto ref = reduce_reference(data, ReduceKind::kSum);
@@ -676,10 +685,8 @@ TEST(CommunicatorFaults, ExactResultsAtFivePercentLoss) {
 }
 
 TEST(CommunicatorFaults, BroadcastExactUnderLoss) {
-  FaultyCommCluster fc;
-  std::vector<net::MachineId> machines;
-  for (int i = 0; i < 6; ++i)
-    machines.push_back(static_cast<net::MachineId>(i % 4));
+  FaultyCommCluster fc(7);
+  const auto machines = one_member_per_remote_machine(6);
   auto comm = Communicator::on_machines(machines);
   std::vector<std::vector<double>> chunks(6, std::vector<double>{0.0});
   Xoshiro256 rng(55);

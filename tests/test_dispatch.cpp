@@ -1,10 +1,13 @@
 // N:M dispatch tests (docs/DISPATCH.md): the receiver thread routes
-// requests to per-shard FIFOs drained on the worker pool.  These pin the
-// redesign's contract — per-object FIFO order survives N concurrent
-// clients, M distinct objects demonstrably execute in parallel, a racing
-// shutdown cannot deliver into a destroyed Inbox, a bounded object queue
-// refuses overflow with PeerUnavailable, and the incremental frame
-// decoder both inbound paths share parses exactly the bytes sent.
+// requests straight to per-object FIFOs drained on the worker pool, and
+// same-machine calls skip the fabric.  These pin the contract — per-object
+// FIFO order survives N concurrent clients, M distinct objects
+// demonstrably execute in parallel, one remote call costs one pool task,
+// a same-machine call never touches the fabric yet keeps FIFO order and
+// at-most-once retries, a racing shutdown cannot deliver into a destroyed
+// Inbox, a bounded object queue refuses overflow with PeerUnavailable, and
+// the incremental frame decoder both inbound paths share parses exactly
+// the bytes sent.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -28,6 +31,7 @@
 #include "rpc/binding.hpp"
 #include "rpc/errors.hpp"
 #include "rpc/node.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace rpc = oopp::rpc;
 namespace net = oopp::net;
@@ -109,6 +113,20 @@ class Sleeper {
   }
 };
 
+/// Counts its invocations; bump() first holds the object for `ms`, long
+/// enough for a short attempt timeout to fire and a retry to be resent.
+class Tally {
+ public:
+  int bump(int ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    return ++count_;
+  }
+  int count() const { return count_; }
+
+ private:
+  int count_ = 0;
+};
+
 }  // namespace
 
 template <>
@@ -139,6 +157,17 @@ struct oopp::rpc::class_def<Sleeper> {
   template <class B>
   static void bind(B& b) {
     b.template method<&Sleeper::nap>("nap");
+  }
+};
+
+template <>
+struct oopp::rpc::class_def<Tally> {
+  static std::string name() { return "test.dispatch.Tally"; }
+  using ctors = ctor_list<ctor<>>;
+  template <class B>
+  static void bind(B& b) {
+    b.template method<&Tally::bump>("bump");
+    b.template method<&Tally::count>("count");
   }
 };
 
@@ -245,9 +274,130 @@ TEST(Dispatch, MObjectsOnOneNodeExecuteInParallel) {
 }
 
 // ---------------------------------------------------------------------------
+// Hand-offs per call
+// ---------------------------------------------------------------------------
+
+// The receiver thread puts each request in its object's queue itself, so a
+// non-reentrant call costs the server exactly one pool task: the object
+// queue's drain.  Each call waits for the server pool to go idle first, so
+// every request finds its object's queue undrained and kicks a fresh task.
+TEST(Dispatch, OnePoolTaskPerRemoteCall) {
+  constexpr int kCalls = 100;
+  net::InProcFabric fabric(2);
+  rpc::Node n0(0, fabric);
+  rpc::Node n1(1, fabric);
+  n0.start();
+  n1.start();
+  rpc::Node::ContextGuard guard(&n0);
+
+  auto rec = make_remote<Recorder>(1);
+  auto wait_idle = [&] {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (n1.stats().pool_busy != 0 &&
+           std::chrono::steady_clock::now() < until)
+      std::this_thread::yield();
+  };
+  // A worker bumps tasks_run just after it leaves a task; let the last
+  // one land before reading the count.
+  auto settle = [&] {
+    wait_idle();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  settle();
+  const auto before = n1.stats().pool_tasks_run;
+  for (int i = 0; i < kCalls; ++i) {
+    wait_idle();
+    EXPECT_EQ(rec.call<&Recorder::record>(i), i);
+  }
+  settle();
+  EXPECT_EQ(n1.stats().pool_tasks_run - before,
+            static_cast<std::uint64_t>(kCalls));
+
+  rec.destroy();
+  for (auto* n : {&n0, &n1}) n->stop_receiving();
+  for (auto* n : {&n0, &n1}) n->fail_pending();
+  for (auto* n : {&n0, &n1}) n->stop_pool();
+}
+
+// A node delivers what it addresses to itself without the fabric: spawn,
+// calls and destroy leave messages_sent() untouched.  Delivery runs on the
+// calling thread, so one thread's async calls still execute in issue
+// order, and a retryable call whose attempts time out locally still
+// executes exactly once (the resends meet the in-flight dedup record).
+TEST(Dispatch, SameMachineCallSkipsTheFabric) {
+  constexpr int kCalls = 1000;
+  net::InProcFabric fabric(2);
+  rpc::Node n0(0, fabric);
+  rpc::Node n1(1, fabric);
+  n0.start();
+  n1.start();
+  rpc::Node::ContextGuard guard(&n0);
+  const auto sent0 = fabric.messages_sent();
+
+  auto rec = make_remote<Recorder>(0);
+  std::vector<Future<int>> futs;
+  futs.reserve(kCalls);
+  for (int i = 0; i < kCalls; ++i)
+    futs.push_back(rec.async<&Recorder::record>(i));
+  for (int i = 0; i < kCalls; ++i)
+    EXPECT_EQ(futs[static_cast<std::size_t>(i)].get_for(
+                  std::chrono::seconds(30)),
+              i);
+  const auto log = rec.call<&Recorder::log>();
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(kCalls));
+  for (int i = 0; i < kCalls; ++i)
+    ASSERT_EQ(log[static_cast<std::size_t>(i)], i)
+        << "same-machine calls reordered";
+
+  auto& retry = oopp::telemetry::Metrics::scope_for("rpc.retry");
+  const auto resends0 = retry.counter("resends").value();
+  rpc::CallPolicy policy;
+  policy.max_attempts = 20;
+  policy.attempt_timeout = std::chrono::milliseconds(5);
+  policy.backoff_initial = std::chrono::milliseconds(1);
+  policy.backoff_max = std::chrono::milliseconds(2);
+  auto tally = make_remote<Tally>(0).with_policy(policy);
+  EXPECT_EQ(tally.call<&Tally::bump>(60), 1);
+  EXPECT_EQ(tally.call<&Tally::count>(), 1) << "a resent attempt re-executed";
+  EXPECT_GT(retry.counter("resends").value(), resends0)
+      << "the attempt timeout never fired, so no retry was exercised";
+
+  rec.destroy();
+  tally.destroy();
+  EXPECT_EQ(fabric.messages_sent(), sent0);
+
+  for (auto* n : {&n0, &n1}) n->stop_receiving();
+  for (auto* n : {&n0, &n1}) n->fail_pending();
+  for (auto* n : {&n0, &n1}) n->stop_pool();
+}
+
+// ---------------------------------------------------------------------------
 // Racing shutdown: frames arriving during/after close() must be dropped,
 // never delivered into a destroyed Inbox
 // ---------------------------------------------------------------------------
+
+/// Same-machine caller: loops calls from `node` to its own `rec` until
+/// `stop`, through that node's shutdown.  Such a call never crosses a
+/// fabric, so it must always settle — with a value or a typed error such
+/// as CallAborted — and never sit out the deadline.
+std::thread local_storm(rpc::Node* node, remote_ptr<Recorder> rec,
+                        std::atomic<bool>& stop, std::atomic<int>& hung) {
+  return std::thread([node, rec, &stop, &hung] {
+    rpc::Node::ContextGuard guard(node);
+    int tag = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      try {
+        (void)rec.async<&Recorder::record>(tag++).get_for(
+            std::chrono::seconds(10));
+      } catch (const rpc::CallTimeout&) {
+        hung.fetch_add(1);
+      } catch (...) {
+        // aborted or refused once the node is shutting down
+      }
+    }
+  });
+}
 
 void racing_shutdown(const net::FabricOptions& transport) {
   net::TcpFabric fabric(2, transport);
@@ -256,11 +406,17 @@ void racing_shutdown(const net::FabricOptions& transport) {
   n0->start();
   n1->start();
 
-  remote_ptr<Recorder> rec;
+  remote_ptr<Recorder> rec, local0, local1;
   {
     rpc::Node::ContextGuard guard(n0.get());
     rec = make_remote<Recorder>(1);
+    local0 = make_remote<Recorder>(0);
+    local1 = make_remote<Recorder>(1);
   }
+  std::atomic<int> hung{0};
+  std::atomic<bool> stop0{false}, stop1{false};
+  std::thread storm0 = local_storm(n0.get(), local0, stop0, hung);
+  std::thread storm1 = local_storm(n1.get(), local1, stop1, hung);
 
   // Storm the victim with calls while it shuts down and is destroyed.
   // Once node 1 is gone every outcome is legal — timeout, unavailable,
@@ -283,6 +439,8 @@ void racing_shutdown(const net::FabricOptions& transport) {
   n1->stop_receiving();  // detaches from the fabric first
   n1->fail_pending();
   n1->stop_pool();
+  stop1.store(true);  // node 1's own caller rode through its shutdown
+  storm1.join();
   n1.reset();  // Inbox destroyed while the storm keeps sending
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
@@ -292,8 +450,11 @@ void racing_shutdown(const net::FabricOptions& transport) {
   n0->stop_receiving();
   n0->fail_pending();
   n0->stop_pool();
+  stop0.store(true);
+  storm0.join();
   n0.reset();
   fabric.shutdown();
+  EXPECT_EQ(hung.load(), 0) << "a same-machine call never settled";
 }
 
 TEST(Dispatch, RacingShutdownReactor) {
@@ -313,7 +474,6 @@ TEST(Dispatch, QueueBoundRejectsOverflowWithPeerUnavailable) {
   rpc::Node n0(0, fabric);
   rpc::Node::Options opts;
   opts.dispatch.queue_bound = 2;
-  opts.dispatch.shards = 5;  // rounds up to 8
   rpc::Node n1(1, fabric, opts);
   n0.start();
   n1.start();
@@ -343,7 +503,6 @@ TEST(Dispatch, QueueBoundRejectsOverflowWithPeerUnavailable) {
   EXPECT_EQ(ok + unavailable, kCalls);
 
   const auto stats = n1.stats();
-  EXPECT_EQ(stats.dispatch_shards, 8u);   // 5 rounded up to a power of two
   EXPECT_GE(stats.queue_depth_hwm, 1u);   // the storm stacked the queue
   EXPECT_GE(stats.pool_threads, opts.dispatch.workers);
 

@@ -502,13 +502,15 @@ TEST(ReplicaRecovery, ReplicaKilledMidFftCompletesByteIdentical) {
 // Replicated writes ride the same retry/dedup machinery as everything
 // else: under 5% message loss every quorum write completes, and each
 // replica executed every page write exactly once — a replayed replicated
-// write is never applied twice anywhere.
+// write is never applied twice anywhere.  The coordinator sits on machine
+// 3, apart from the driver (0) and every replica (0-2): same-machine calls
+// skip the fabric, so this keeps both hops on lossy links.
 TEST(ReplicaRecovery, ReplicatedWritesExactlyOncePerReplicaUnderLoss) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("oopp-replica-loss-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  FaultyCluster fc(3);
+  FaultyCluster fc(4);
 
   std::vector<remote_ptr<storage::ArrayPageDevice>> replicas;
   for (int j = 0; j < 3; ++j) {
@@ -518,10 +520,10 @@ TEST(ReplicaRecovery, ReplicatedWritesExactlyOncePerReplicaUnderLoss) {
         storage::DeviceOptions{}));
   }
   auto coord = fc.cluster->make_remote<storage::ReplicatedPageDevice>(
-      0, replicas, storage::ReplicaOptions{.replicas = 3});
+      3, replicas, storage::ReplicaOptions{.replicas = 3});
   // Retries for both hops: client -> coordinator (handle policy) and
   // coordinator -> replica (node-level default on the coordinator's node).
-  fc.cluster->node(0).set_default_policy(test_policy());
+  fc.cluster->node(3).set_default_policy(test_policy());
   auto handle = coord.with_policy(test_policy());
 
   const std::size_t bytes = 4 * 4 * 4 * sizeof(double);
